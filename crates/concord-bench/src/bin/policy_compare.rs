@@ -16,7 +16,7 @@
 
 use concord_core::{PolicyKind, Runtime, RuntimeConfig, SpinApp};
 use concord_net::{ring, Collector, LoadGen, Request, Response, RttModel};
-use concord_sim::{simulate, Policy, PreemptMechanism, QueueDiscipline, SimParams, SystemConfig};
+use concord_sim::{simulate, QueueDiscipline, SimParams, SystemConfig};
 use concord_workloads::mix::{self, Mix};
 use concord_workloads::Workload;
 use std::io::Write;
@@ -130,20 +130,10 @@ fn run_once(args: &Args, policy: PolicyKind, workload: Mix) -> RunResult {
         "requests lost under {policy}"
     );
 
-    // Simulator reference at the same operating point (same policy
-    // mapping as the conformance harness).
-    let mut sim_cfg = SystemConfig::concord(args.workers, args.quantum_us * 1_000);
+    // Simulator reference at the same operating point and policy.
+    let mut sim_cfg =
+        SystemConfig::concord(args.workers, args.quantum_us * 1_000).with_policy(policy);
     sim_cfg.queue = QueueDiscipline::Jbsq(2);
-    sim_cfg.policy = match policy {
-        PolicyKind::PsQuantum | PolicyKind::Fcfs => Policy::Fcfs,
-        PolicyKind::Srpt { .. } => Policy::Srpt,
-        PolicyKind::Boost { boost_us } => Policy::Boost {
-            boost: sim_cfg.cost.ns_to_cycles(boost_us * 1_000),
-        },
-    };
-    if policy == PolicyKind::Fcfs {
-        sim_cfg.preemption = PreemptMechanism::None;
-    }
     let sim = simulate(
         &sim_cfg,
         workload.clone(),

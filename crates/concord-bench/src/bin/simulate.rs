@@ -27,14 +27,15 @@
 //!
 //! `--policy` selects the scheduling policy in *both* engines: `ps`
 //! (quantum processor sharing, the default), `fcfs` (run-to-completion,
-//! preemption disabled), `srpt[:PCT]` (remaining-size priority; the
-//! noise percentage applies to the real runtime's size estimates), and
-//! `boost[:US]` (arrival-time-shifted priority, Yu & Scully).
+//! preemption disabled), `srpt[:PCT]` (remaining-size priority on size
+//! estimates with `±PCT%` noise), and `boost[:US]` (arrival-time-shifted
+//! priority, Yu & Scully). Both engines rank with the same
+//! `PolicyKind::rank`.
 
 use concord_core::{PolicyKind, Runtime, RuntimeConfig, ShardedRuntime, SpinApp};
 use concord_net::{ring, Collector, LoadGen, Request, Response, RttModel};
 use concord_sim::experiments::ideal_capacity_rps;
-use concord_sim::{simulate, Policy, PreemptMechanism, SimParams, SystemConfig};
+use concord_sim::{simulate, SimParams, SystemConfig};
 use concord_workloads::mix::{self, Mix};
 use concord_workloads::Workload;
 use std::process::exit;
@@ -144,28 +145,6 @@ fn system_by_name(name: &str, workers: usize, quantum_ns: u64) -> SystemConfig {
         "coop-sq" => SystemConfig::concord_coop_sq(workers, quantum_ns),
         "coop-jbsq" => SystemConfig::concord_coop_jbsq(workers, quantum_ns),
         _ => usage(),
-    }
-}
-
-/// Maps the shared policy selector onto the simulator's queue policy
-/// and preemption mechanism. `ps` keeps the system preset's own
-/// mechanism (the sim's FCFS queue + quantum preemption *is* quantum
-/// processor sharing: requeues re-join at the tail); `fcfs`
-/// additionally disables preemption, making it run-to-completion like
-/// the real runtime's `Fcfs`. The SRPT noise percentage is a
-/// runtime-side estimate model; the simulator's SRPT is exact.
-fn apply_policy(mut cfg: SystemConfig, kind: PolicyKind) -> SystemConfig {
-    match kind {
-        PolicyKind::PsQuantum => cfg.with_policy(Policy::Fcfs),
-        PolicyKind::Fcfs => {
-            cfg.preemption = PreemptMechanism::None;
-            cfg.with_policy(Policy::Fcfs)
-        }
-        PolicyKind::Srpt { .. } => cfg.with_policy(Policy::Srpt),
-        PolicyKind::Boost { boost_us } => {
-            let boost = cfg.cost.ns_to_cycles(boost_us * 1_000);
-            cfg.with_policy(Policy::Boost { boost })
-        }
     }
 }
 
@@ -422,11 +401,9 @@ fn main() {
         return;
     }
 
-    let cfg = apply_policy(
-        system_by_name(&args.system, args.workers, quantum_ns),
-        args.policy,
-    )
-    .with_batch(args.batch);
+    let cfg = system_by_name(&args.system, args.workers, quantum_ns)
+        .with_policy(args.policy)
+        .with_batch(args.batch);
 
     println!(
         "system={} workload={} workers={} shards={} quantum={}us policy={} batch={}",

@@ -4,14 +4,12 @@
 use crate::case::{ArrivalKind, CaseConfig, FaultKind};
 use concord_core::preempt::SignalAccounting;
 use concord_core::{
-    Clock, ConcordApp, FaultInjector, PolicyKind, Runtime, RuntimeConfig, ShardRollup,
-    ShardedRuntime, SpinApp, TelemetrySnapshot,
+    Clock, ConcordApp, FaultInjector, Runtime, RuntimeConfig, ShardRollup, ShardedRuntime, SpinApp,
+    TelemetrySnapshot,
 };
 use concord_net::ring::ring;
 use concord_net::{Collector, LoadGen, Request, Response, RttModel};
-use concord_sim::{
-    simulate, Policy, PreemptMechanism, QueueDiscipline, SimParams, SimResult, SystemConfig,
-};
+use concord_sim::{simulate, QueueDiscipline, SimParams, SimResult, SystemConfig};
 use concord_workloads::arrival::Deterministic;
 use concord_workloads::dist::Dist;
 use concord_workloads::mix::{ClassSpec, Mix};
@@ -471,31 +469,15 @@ pub fn run_runtime_sharded(
     }
 }
 
-/// Runs the same case through the discrete-event simulator, mirroring
-/// the case's scheduling policy:
-///
-/// - `ps` → the sim's FCFS queue + cooperative quantum preemption
-///   (requeues re-join at the tail: quantum processor sharing — the
-///   pre-policy-plane behavior);
-/// - `fcfs` → FCFS queue with preemption disabled (run-to-completion);
-/// - `srpt` → the sim's exact SRPT queue (the noise percentage models
-///   runtime-side estimates; the sim schedules on true remaining size);
-/// - `boost` → arrival-time-shifted priority with `B` converted to
-///   cycles by the sim's cost model.
+/// Runs the same case through the discrete-event simulator under the
+/// case's own scheduling policy (the simulator ranks with the runtime's
+/// [`PolicyKind::rank`](concord_core::PolicyKind::rank), Boost's `B`
+/// converted to cycles).
 pub fn run_sim(case: &CaseConfig) -> SimResult {
     let mut cfg = SystemConfig::concord(case.n_workers, case.quantum_us * 1_000);
     cfg.queue = QueueDiscipline::Jbsq(case.jbsq_depth.min(u8::MAX as usize) as u8);
     cfg.work_conserving = case.work_conserving;
-    cfg.policy = match case.policy {
-        PolicyKind::PsQuantum | PolicyKind::Fcfs => Policy::Fcfs,
-        PolicyKind::Srpt { .. } => Policy::Srpt,
-        PolicyKind::Boost { boost_us } => Policy::Boost {
-            boost: cfg.cost.ns_to_cycles(boost_us * 1_000),
-        },
-    };
-    if case.policy == PolicyKind::Fcfs {
-        cfg.preemption = PreemptMechanism::None;
-    }
+    cfg.policy = case.policy;
     cfg.name = "conformance".into();
     simulate(
         &cfg,

@@ -8,6 +8,7 @@
 
 use crate::case::{CaseConfig, FaultKind};
 use crate::harness::RuntimeObservation;
+use concord_core::PolicyKind;
 use concord_sim::SimResult;
 
 fn check(violations: &mut Vec<String>, ok: bool, msg: impl FnOnce() -> String) {
@@ -603,18 +604,17 @@ pub fn check_cross(obs: &RuntimeObservation, sim: &SimResult) -> Vec<String> {
 ///   even under injected signal faults, which have no signals to act on.
 ///   On a single worker without dispatcher work stealing, completion
 ///   order must additionally equal arrival order (FIFO).
-/// * **`Srpt`** — a dispatched *fresh* (never-run) request must carry
-///   the minimum estimated service time among all fresh queued requests.
-///   The estimates are deterministic per request id (seeded noise), so
-///   the replay reproduces them exactly — noisy estimates are checked
-///   against their own noisy ordering, per Scully & Harchol-Balter.
-/// * **`Boost`** — the same replay with the boosted-arrival key
-///   `t_arrive − B²/size` (Yu & Scully).
+/// * **`Srpt`**, **`Boost`** — a dispatched *fresh* (never-run) request
+///   must carry the minimum [`PolicyKind::rank`] among all fresh queued
+///   requests, replayed from the trace with the runtime's own rank
+///   function: SRPT's estimates are deterministic per request id
+///   (seeded noise), so noisy estimates are checked against their own
+///   noisy ordering, per Scully & Harchol-Balter; Boost's key is the
+///   boosted arrival `t_arrive − B²/size` (Yu & Scully).
 ///
 /// The replay oracles need a loss-free raw trace and skip silently when
 /// the tracer is disarmed or overflowed.
 pub fn check_policy(obs: &RuntimeObservation) -> Vec<String> {
-    use concord_core::PolicyKind;
     let mut v = Vec::new();
     let replayable = obs.trace_dropped == 0;
     match obs.case.policy {
@@ -653,30 +653,10 @@ pub fn check_policy(obs: &RuntimeObservation) -> Vec<String> {
                 }
             }
         }
-        PolicyKind::Srpt { noise_pct } => {
+        PolicyKind::Srpt { .. } | PolicyKind::Boost { .. } => {
             if replayable {
                 if let Some(t) = obs.raw_trace.as_ref() {
-                    let est = concord_core::Srpt {
-                        noise_pct,
-                        ..concord_core::Srpt::default()
-                    };
-                    v.extend(check_fresh_priority(t, "srpt", |id, service_ns, _| {
-                        est.estimate(id, service_ns)
-                    }));
-                }
-            }
-        }
-        PolicyKind::Boost { boost_us } => {
-            if replayable {
-                if let Some(t) = obs.raw_trace.as_ref() {
-                    let b = boost_us.saturating_mul(1_000);
-                    v.extend(check_fresh_priority(
-                        t,
-                        "boost",
-                        |_, service_ns, arrive_ns| {
-                            arrive_ns.saturating_sub(b.saturating_mul(b) / service_ns.max(1))
-                        },
-                    ));
+                    v.extend(check_fresh_priority(t, obs.case.policy));
                 }
             }
         }
@@ -729,26 +709,25 @@ fn check_fifo_completion(trace: &concord_trace::Trace) -> Vec<String> {
 /// every slice), so only fresh picks are checked; for requests that are
 /// never preempted that is every pick.
 ///
-/// `key(id, service_ns, arrive_ns)` mirrors the policy's fresh-task key;
+/// Keys are `policy`'s [`PolicyKind::rank`] with no attained service;
 /// the service time is recovered from the `ARRIVE` generation field
-/// (microseconds).
-fn check_fresh_priority(
-    trace: &concord_trace::Trace,
-    name: &str,
-    key: impl Fn(u64, u64, u64) -> u64,
-) -> Vec<String> {
+/// (microseconds). A sub-microsecond request records 0 µs and ranks as
+/// 1 ns: still a positive size, as the dispatcher saw it.
+fn check_fresh_priority(trace: &concord_trace::Trace, policy: PolicyKind) -> Vec<String> {
     use concord_trace::EventKind;
     use std::collections::HashMap;
     let mut v = Vec::new();
     let d = trace.dispatcher_track();
+    let boost_ns = policy.boost_ns();
     let mut fresh: HashMap<u64, u64> = HashMap::new();
     let mut inversions = 0u64;
     let mut example = None;
     for r in trace.records.iter().filter(|r| r.track == d) {
         match r.ev.kind() {
             EventKind::Arrive => {
-                let service_ns = r.ev.gen().saturating_mul(1_000);
-                fresh.insert(r.ev.id(), key(r.ev.id(), service_ns, r.ev.ts_ns));
+                let service_ns = r.ev.gen().saturating_mul(1_000).max(1);
+                let key = policy.rank(boost_ns, r.ev.id(), service_ns, 0, r.ev.ts_ns);
+                fresh.insert(r.ev.id(), key);
             }
             EventKind::Dispatch | EventKind::Steal => {
                 if let Some(k) = fresh.remove(&r.ev.id()) {
@@ -771,7 +750,8 @@ fn check_fresh_priority(
     }
     check(&mut v, inversions == 0, || {
         format!(
-            "{name}: {inversions} priority inversions on fresh dispatches, e.g. {}",
+            "{}: {inversions} priority inversions on fresh dispatches, e.g. {}",
+            policy.name(),
             example.unwrap_or_default()
         )
     });

@@ -3,17 +3,19 @@
 //!
 //! # Ordering: priority key, then sequence
 //!
-//! Every entry carries a `(key, seq)` pair: a priority key chosen by the
-//! active [`SchedPolicy`](crate::policy::SchedPolicy) at (re-)insertion
-//! time, and a monotonically increasing sequence number stamped by the
-//! queue. [`CentralQueue::pop_next`] always returns the smallest live
-//! `(key, seq)` pair, so *smaller key dispatches sooner* and ties
-//! resolve in insertion order.
+//! Every entry carries a `(key, seq)` pair: a priority key — the
+//! active policy's [`PolicyKind::rank`](crate::policy::PolicyKind::rank)
+//! at (re-)insertion time — and a monotonically increasing sequence
+//! number stamped by the queue. [`CentralQueue::pop_next`] always
+//! returns the smallest live `(key, seq)` pair, so *smaller key
+//! dispatches sooner* and ties resolve in insertion order. The runtime's
+//! dispatcher and the simulator both queue through this type, so they
+//! agree on dispatch order by construction.
 //!
-//! With every key 0 — the [`PsQuantum`](crate::policy::PsQuantum) and
-//! [`Fcfs`](crate::policy::Fcfs) policies — the order degenerates to
-//! pure sequence order, which is exactly the original hard-coded
-//! behavior of this queue (pinned by the golden-schedule tests below):
+//! With every key 0 — the `PsQuantum` and `Fcfs` policies — the order
+//! degenerates to pure sequence order, which is exactly the original
+//! hard-coded behavior of this queue (pinned by the golden-schedule
+//! tests below):
 //!
 //! - a fresh arrival enqueues at the tail;
 //! - a preempted request re-enters *behind everything currently
@@ -22,8 +24,7 @@
 //!   FCFS re-entry (which would resume a preempted request ahead of
 //!   requests that arrived after it).
 //!
-//! Keyed policies ([`Srpt`](crate::policy::Srpt),
-//! [`Boost`](crate::policy::Boost)) insert by key with a tail-backward
+//! Keyed policies (`Srpt`, `Boost`) insert by key with a tail-backward
 //! scan. Key-0 inserts stay O(1) (the seq stamp is monotone, so the
 //! tail is always the right spot); keyed inserts are O(distance from
 //! tail), which stays short because the queue drains in key order.
@@ -237,8 +238,8 @@ mod tests {
     /// Golden schedule, single worker: drive the queue through the exact
     /// dispatch/preempt/requeue cycle the dispatcher performs for one
     /// worker with JBSQ depth 1, on a virtual timeline (each step is one
-    /// quantum). Pinned before the `SchedPolicy` extraction so the
-    /// `PsQuantum` refactor is provably behavior-preserving.
+    /// quantum). Pins the `PsQuantum` (all keys 0) order: processor
+    /// sharing, not FCFS re-entry.
     #[test]
     fn golden_single_worker_requeue_schedule() {
         let mut q = CentralQueue::new();

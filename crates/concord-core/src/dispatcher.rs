@@ -136,11 +136,19 @@ struct DeferredSignal {
 impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
     /// Runs until stopped and drained. Consumes the loop state.
     pub fn run(mut self) {
-        // The scheduling policy: chooses every entry's priority key and
-        // whether quanta are policed at all. Instantiated once; the
-        // boxed call is off the per-iteration fast path (it runs only
-        // on enqueue).
-        let policy = self.cfg.policy.instantiate();
+        // The scheduling policy: ranks every entry entering the central
+        // queue and decides whether quanta are policed at all.
+        let policy = self.cfg.policy;
+        let boost_ns = policy.boost_ns();
+        let key = |t: &Task| {
+            policy.rank(
+                boost_ns,
+                t.req.id,
+                t.req.service_ns,
+                t.busy_ns,
+                t.ingested_at_ns,
+            )
+        };
         let mut central: CentralQueue<Task> = CentralQueue::new();
         // Requests currently inside this shard: central queue + worker
         // rings + the dispatcher's own stolen slot + requeue messages in
@@ -281,8 +289,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                             .lock()
                             .expect("lock poisoned")
                             .record_preemption_latency(preempt_latency_ns);
-                        let key = policy.key(&task);
-                        central.push_requeued_prio(key, task);
+                        central.push_requeued_prio(key(&task), task);
                     }
                 }
             }
@@ -324,8 +331,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                         }
                         None => Task::new(self.app.clone(), req, self.cfg.stack_size, now_ns),
                     };
-                    let key = policy.key(&task);
-                    central.push_fresh_prio(key, task);
+                    central.push_fresh_prio(key(&task), task);
                     progressed = true;
                 }
             }
@@ -470,8 +476,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                             Err(task) => {
                                 // Raced a concurrent capacity check; keep
                                 // the task local.
-                                let key = policy.key(&task);
-                                central.push_fresh_prio(key, task);
+                                central.push_fresh_prio(key(&task), task);
                                 break;
                             }
                         }
@@ -497,8 +502,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                                         1 + victim as u64,
                                     );
                                 }
-                                let key = policy.key(&task);
-                                central.push_fresh_prio(key, task);
+                                central.push_fresh_prio(key(&task), task);
                                 progressed = true;
                             }
                         }
@@ -516,8 +520,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                     };
                     in_system += 1;
                     self.stats.shard_reclaimed.fetch_add(1, Ordering::Relaxed);
-                    let key = policy.key(&task);
-                    central.push_fresh_prio(key, task);
+                    central.push_fresh_prio(key(&task), task);
                     progressed = true;
                     if !stopping {
                         break; // one per iteration outside of drain

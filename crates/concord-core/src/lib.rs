@@ -76,7 +76,7 @@ pub use clock::{Clock, VirtualClock};
 pub use config::{ConfigError, RuntimeBuilder, RuntimeConfig};
 #[cfg(feature = "fault-injection")]
 pub use fault::FaultInjector;
-pub use policy::{Boost, Fcfs, PolicyKind, PsQuantum, SchedPolicy, Srpt};
+pub use policy::PolicyKind;
 pub use preempt::{LockDepthObserver, PreemptLine, SignalAccounting, SignalPoll};
 pub use quantum::{
     class_slot, fold_class, ControllerConfig, QuantumController, QuantumTable, SloState,

@@ -1,29 +1,29 @@
-//! Pluggable scheduling policies for the dispatcher.
+//! Scheduling policies as rank functions.
 //!
 //! The paper's thesis is that *approximate* optimal scheduling —
 //! quantum-based processor sharing with fast preemption — gets close to
 //! the true tail-optimal policy. Measuring "close to what" requires the
-//! baselines to be swappable, so the dispatcher's ordering decisions are
-//! factored out behind [`SchedPolicy`]:
+//! baselines to be swappable, so every ordering decision the dispatcher
+//! (and the simulator) makes comes from one place, [`PolicyKind`]:
 //!
-//! - **pick-next / requeue ordering** via [`SchedPolicy::key`]: every
-//!   entry in the central queue carries a priority key; the dispatcher
-//!   always pops the smallest `(key, seq)` pair, so a policy shapes the
-//!   schedule purely by choosing keys. Constant keys degrade to the
-//!   sequence order — exactly the old hard-coded behavior.
+//! - **pick-next / requeue ordering** via [`PolicyKind::rank`], a pure
+//!   function of a request's (id, size, attained service, arrival) —
+//!   the shape Scully & Harchol-Balter's SOAP framework gives policies.
+//!   Every entry in the central queue carries its rank as a priority key
+//!   and the queue always pops the smallest `(key, seq)` pair, so a
+//!   policy shapes the schedule purely by ranking. Constant ranks
+//!   degrade to sequence order: processor-sharing round-robin.
 //! - **whether preemption signals are issued at all** via
-//!   [`SchedPolicy::preempts`]: run-to-completion baselines (Persephone)
+//!   [`PolicyKind::preempts`]: run-to-completion baselines (Persephone)
 //!   never interrupt a running request, which is a property of the
 //!   policy, not of the quantum length.
 //!
-//! Four policies ship:
-//!
-//! | policy       | key                                   | preempts |
-//! |--------------|---------------------------------------|----------|
-//! | [`PsQuantum`]| `0` (pure round-robin seq order)      | yes      |
-//! | [`Fcfs`]     | `0` (arrival order, run-to-completion)| **no**   |
-//! | [`Srpt`]     | noisy service estimate − attained     | yes      |
-//! | [`Boost`]    | arrival − b(size), b(s) = B²/s        | yes      |
+//! | policy      | rank                                   | preempts |
+//! |-------------|----------------------------------------|----------|
+//! | `PsQuantum` | `0` (pure round-robin seq order)       | yes      |
+//! | `Fcfs`      | `0` (arrival order, run-to-completion) | **no**   |
+//! | `Srpt`      | noisy size estimate − attained         | yes      |
+//! | `Boost`     | arrival − B²/(size − attained)         | yes      |
 //!
 //! `Srpt` follows the noisy-estimate model of Scully & Harchol-Balter,
 //! "How to Schedule Near-Optimally under Real-World Constraints": the
@@ -33,171 +33,20 @@
 //! Scully, "Strongly Tail-Optimal Scheduling in the Light-Tailed
 //! M/G/1": each request's priority is its arrival time *boosted*
 //! (shifted earlier) by an amount inversely proportional to its size,
-//! which interpolates between FCFS (boost → 0) and SRPT (boost → ∞)
-//! and is tail-optimal in the light-tailed regime.
+//! which interpolates between FCFS (B → 0) and SRPT (B → ∞) and is
+//! tail-optimal in the light-tailed regime.
 
-use crate::task::Task;
 use concord_rng::{Rng, SeedableRng, SmallRng};
 
-/// A dispatcher-level scheduling policy.
-///
-/// Implementations must be cheap: [`key`](SchedPolicy::key) runs on the
-/// dispatcher's hot path once per (re-)enqueue. Keys are compared as
-/// `(key, seq)` with *smaller dispatched sooner*, and the sequence
-/// number breaks ties in insertion order, so any constant key yields
-/// the processor-sharing round-robin of the original dispatcher.
-pub trait SchedPolicy: Send + std::fmt::Debug {
-    /// Short stable name (used in logs, benches, and trace summaries).
-    fn name(&self) -> &'static str;
+/// Salt mixed into SRPT's per-request noise seed.
+const SRPT_NOISE_SALT: u64 = 0x5eed_5eed;
 
-    /// Whether the dispatcher polices quanta and sends preemption
-    /// signals at all. When `false` the runtime is run-to-completion:
-    /// zero signals are sent by construction, which the conformance
-    /// suite asserts exactly.
-    fn preempts(&self) -> bool {
-        true
-    }
+/// Largest accepted SRPT estimate error, in percent.
+const SRPT_MAX_NOISE_PCT: u32 = 100;
 
-    /// Priority key for a task entering (or re-entering) the central
-    /// queue. Smaller is sooner; ties dispatch in insertion order.
-    fn key(&self, _task: &Task) -> u64 {
-        0
-    }
-}
-
-/// The paper's quantum-based processor-sharing policy (§3.1): every
-/// entry keyed 0, so service order is (re-)insertion order — textbook
-/// round-robin — and expired quanta trigger preemption signals.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PsQuantum;
-
-impl SchedPolicy for PsQuantum {
-    fn name(&self) -> &'static str {
-        "ps"
-    }
-}
-
-/// First-come-first-served, run-to-completion — the Persephone
-/// baseline. Arrival order (key 0) and no preemption signals: a
-/// dispatched request holds its worker until it completes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Fcfs;
-
-impl SchedPolicy for Fcfs {
-    fn name(&self) -> &'static str {
-        "fcfs"
-    }
-
-    fn preempts(&self) -> bool {
-        false
-    }
-}
-
-/// Shortest-remaining-processing-time with noisy size estimates.
-///
-/// The key is the request's *estimated* service time minus the service
-/// it has already attained (`busy_ns`), so a preempted long request
-/// sinks toward the back while short fresh work jumps the queue. The
-/// estimate is the true `service_ns` perturbed by a deterministic
-/// per-request multiplicative factor in `±noise_pct%` (seeded from
-/// `noise_salt ^ request id`), modelling the bounded-error estimators
-/// of Scully & Harchol-Balter while keeping every run reproducible.
-/// `noise_pct = 0` is exact SRPT.
-#[derive(Debug, Clone, Copy)]
-pub struct Srpt {
-    /// Half-width of the multiplicative estimate error, in percent.
-    pub noise_pct: u32,
-    /// Salt mixed into the per-request noise seed.
-    pub noise_salt: u64,
-}
-
-impl Default for Srpt {
-    fn default() -> Self {
-        Self {
-            noise_pct: 0,
-            noise_salt: 0x5eed_5eed,
-        }
-    }
-}
-
-impl Srpt {
-    /// The (noisy) size estimate for a request, before subtracting
-    /// attained service.
-    pub fn estimate(&self, id: u64, service_ns: u64) -> u64 {
-        if self.noise_pct == 0 {
-            return service_ns;
-        }
-        let mut rng = SmallRng::seed_from_u64(self.noise_salt ^ id);
-        let pct = i64::from(rng.gen_range(-(self.noise_pct as i32)..=self.noise_pct as i32));
-        let shift = (service_ns as i64).saturating_mul(pct) / 100;
-        service_ns.saturating_add_signed(shift).max(1)
-    }
-}
-
-impl SchedPolicy for Srpt {
-    fn name(&self) -> &'static str {
-        "srpt"
-    }
-
-    fn key(&self, task: &Task) -> u64 {
-        let estimate = self.estimate(task.req.id, task.req.service_ns);
-        if task.busy_ns < estimate {
-            estimate - task.busy_ns
-        } else {
-            // Estimate exhausted: the request overran its (noisy) size
-            // prediction, so its true remaining work is unknown. Fall
-            // back to elapsed-time ordering — the key grows with
-            // attained service, so an overrunner keeps sinking behind
-            // fresh short work instead of pinning key 0 (= highest
-            // priority) forever.
-            task.busy_ns.max(1)
-        }
-    }
-}
-
-/// Boost scheduling (Yu & Scully): priority is the arrival time shifted
-/// *earlier* by `b(s) = B² / s` where `s` is the request's size and `B`
-/// is the boost parameter — short requests get a large head start,
-/// long requests almost none. With `B → 0` this is FCFS; with `B → ∞`
-/// it orders by size. `b` is applied to the remaining size on requeue,
-/// so attained service is respected like SRPT.
-#[derive(Debug, Clone, Copy)]
-pub struct Boost {
-    /// Boost parameter `B`, in microseconds.
-    pub boost_us: u64,
-}
-
-impl Default for Boost {
-    fn default() -> Self {
-        Self { boost_us: 10 }
-    }
-}
-
-impl SchedPolicy for Boost {
-    fn name(&self) -> &'static str {
-        "boost"
-    }
-
-    fn key(&self, task: &Task) -> u64 {
-        let b = self.boost_us * 1_000;
-        match task.req.service_ns.checked_sub(task.busy_ns) {
-            Some(remaining) if remaining > 0 => task
-                .ingested_at_ns
-                .saturating_sub(b.saturating_mul(b) / remaining),
-            // Size exhausted: clamping `remaining` to 1 here used to
-            // hand the overrunner a B²-nanosecond head start — the
-            // *largest possible* boost, priority inversion against
-            // genuinely short work. Fall back to elapsed-time ordering:
-            // no boost, and attained service pushes it ever later.
-            _ => task.ingested_at_ns.saturating_add(task.busy_ns),
-        }
-    }
-}
-
-/// Config-level policy selector: a small `Copy` value that lives in
-/// [`RuntimeConfig`](crate::config::RuntimeConfig) (which must stay
-/// `Clone` + `Debug` + struct-literal friendly) and is instantiated
-/// into a boxed [`SchedPolicy`] by the dispatcher at startup.
+/// The scheduling policy: a small `Copy` value that lives in
+/// [`RuntimeConfig`](crate::config::RuntimeConfig) and the simulator's
+/// `SystemConfig` alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PolicyKind {
     /// Quantum-based processor sharing (the paper's policy; default).
@@ -218,21 +67,75 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Instantiates the policy object the dispatcher consults.
-    pub fn instantiate(self) -> Box<dyn SchedPolicy> {
+    /// Short stable name (used in logs, benches, and trace summaries).
+    pub fn name(self) -> &'static str {
         match self {
-            PolicyKind::PsQuantum => Box::new(PsQuantum),
-            PolicyKind::Fcfs => Box::new(Fcfs),
-            PolicyKind::Srpt { noise_pct } => Box::new(Srpt {
-                noise_pct,
-                ..Srpt::default()
-            }),
-            PolicyKind::Boost { boost_us } => Box::new(Boost { boost_us }),
+            PolicyKind::PsQuantum => "ps",
+            PolicyKind::Fcfs => "fcfs",
+            PolicyKind::Srpt { .. } => "srpt",
+            PolicyKind::Boost { .. } => "boost",
+        }
+    }
+
+    /// Whether quanta are policed and preemption signals sent at all.
+    /// When `false` the schedule is run-to-completion: zero signals are
+    /// sent by construction, which the conformance suite asserts
+    /// exactly.
+    pub fn preempts(self) -> bool {
+        self != PolicyKind::Fcfs
+    }
+
+    /// Boost's `B` in nanoseconds; 0 for the other policies. A caller
+    /// ranking in another time unit converts it once and passes the
+    /// result to every [`rank`](Self::rank) call.
+    pub fn boost_ns(self) -> u64 {
+        match self {
+            PolicyKind::Boost { boost_us } => boost_us.saturating_mul(1_000),
+            _ => 0,
+        }
+    }
+
+    /// Priority key of a request entering (or re-entering) the central
+    /// queue: smaller dispatches sooner, ties in insertion order.
+    ///
+    /// `size`, `attained` and `arrival` share one time unit (ns in the
+    /// runtime, cycles in the simulator), and `b` is Boost's `B` in that
+    /// unit (see [`boost_ns`](Self::boost_ns)). `id` seeds SRPT's
+    /// per-request estimate noise.
+    pub fn rank(self, b: u64, id: u64, size: u64, attained: u64, arrival: u64) -> u64 {
+        match self {
+            PolicyKind::PsQuantum | PolicyKind::Fcfs => 0,
+            PolicyKind::Srpt { noise_pct } => {
+                let estimate = srpt_estimate(noise_pct, id, size);
+                if attained < estimate {
+                    estimate - attained
+                } else {
+                    // Estimate exhausted: the request overran its (noisy)
+                    // size prediction, so its true remaining work is
+                    // unknown. Fall back to elapsed-time ordering — the
+                    // key grows with attained service, so an overrunner
+                    // keeps sinking behind fresh short work instead of
+                    // pinning key 0 (= highest priority) forever.
+                    attained.max(1)
+                }
+            }
+            PolicyKind::Boost { .. } => match size.checked_sub(attained) {
+                Some(remaining) if remaining > 0 => {
+                    arrival.saturating_sub(b.saturating_mul(b) / remaining)
+                }
+                // Size exhausted: clamping `remaining` to 1 would hand
+                // the overrunner a B² head start — the *largest possible*
+                // boost, priority inversion against genuinely short
+                // work. Fall back to elapsed-time ordering: no boost, and
+                // attained service pushes it ever later.
+                _ => arrival.saturating_add(attained),
+            },
         }
     }
 
     /// Parses the CLI/env spelling: `ps`, `fcfs`, `srpt`, `srpt:<pct>`,
-    /// `boost`, `boost:<us>`.
+    /// `boost`, `boost:<us>`. Rejects an SRPT error above 100 % and a
+    /// Boost `B` whose nanosecond value overflows `u64`.
     pub fn parse(s: &str) -> Option<Self> {
         let (head, arg) = match s.split_once(':') {
             Some((h, a)) => (h, Some(a)),
@@ -242,15 +145,18 @@ impl PolicyKind {
             ("ps" | "ps-quantum", None) => Some(PolicyKind::PsQuantum),
             ("fcfs", None) => Some(PolicyKind::Fcfs),
             ("srpt", None) => Some(PolicyKind::Srpt { noise_pct: 0 }),
-            ("srpt", Some(p)) => Some(PolicyKind::Srpt {
-                noise_pct: p.parse().ok()?,
-            }),
-            ("boost", None) => Some(PolicyKind::Boost {
-                boost_us: Boost::default().boost_us,
-            }),
-            ("boost", Some(b)) => Some(PolicyKind::Boost {
-                boost_us: b.parse().ok()?,
-            }),
+            ("srpt", Some(p)) => {
+                let noise_pct = p.parse().ok().filter(|&p| p <= SRPT_MAX_NOISE_PCT)?;
+                Some(PolicyKind::Srpt { noise_pct })
+            }
+            ("boost", None) => Some(PolicyKind::Boost { boost_us: 10 }),
+            ("boost", Some(b)) => {
+                let boost_us = b
+                    .parse()
+                    .ok()
+                    .filter(|us: &u64| us.checked_mul(1_000).is_some())?;
+                Some(PolicyKind::Boost { boost_us })
+            }
             _ => None,
         }
     }
@@ -262,6 +168,20 @@ impl PolicyKind {
         PolicyKind::Srpt { noise_pct: 0 },
         PolicyKind::Boost { boost_us: 10 },
     ];
+}
+
+/// SRPT's size estimate: `size` perturbed by a deterministic
+/// per-request factor in `±noise_pct%` (seeded from the request id),
+/// modelling the bounded-error estimators of Scully & Harchol-Balter
+/// while keeping every run reproducible. `noise_pct = 0` is exact.
+fn srpt_estimate(noise_pct: u32, id: u64, size: u64) -> u64 {
+    if noise_pct == 0 {
+        return size;
+    }
+    let pct = noise_pct.min(SRPT_MAX_NOISE_PCT) as i32;
+    let mut rng = SmallRng::seed_from_u64(SRPT_NOISE_SALT ^ id);
+    let shift = (size as i64).saturating_mul(i64::from(rng.gen_range(-pct..=pct))) / 100;
+    size.saturating_add_signed(shift).max(1)
 }
 
 impl std::fmt::Display for PolicyKind {
@@ -278,24 +198,14 @@ impl std::fmt::Display for PolicyKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SpinApp;
-    use concord_net::Request;
-    use std::sync::Arc;
-    use std::time::Instant;
 
-    /// A task with the given nominal size, attained service, and ingest
-    /// stamp — the exact state the dispatcher's key computation sees on
-    /// a requeue.
-    fn task(id: u64, service_ns: u64, busy_ns: u64, ingested_at_ns: u64) -> Task {
-        let req = Request {
-            id,
-            class: 0,
-            service_ns,
-            sent_at: Instant::now(),
-        };
-        let mut t = Task::new(Arc::new(SpinApp::new()), req, 16 * 1024, ingested_at_ns);
-        t.busy_ns = busy_ns;
-        t
+    const EXACT_SRPT: PolicyKind = PolicyKind::Srpt { noise_pct: 0 };
+    const BOOST_10: PolicyKind = PolicyKind::Boost { boost_us: 10 };
+
+    /// Rank of a request with the given size, attained service and
+    /// arrival, all in ns — what the dispatcher computes on a requeue.
+    fn rank(policy: PolicyKind, id: u64, size: u64, attained: u64, arrival: u64) -> u64 {
+        policy.rank(policy.boost_ns(), id, size, attained, arrival)
     }
 
     /// Regression (pre-fix failure): a request that overran its SRPT
@@ -303,27 +213,22 @@ mod tests {
     /// — and beat every genuinely short fresh request forever.
     #[test]
     fn srpt_overrun_sinks_behind_fresh_short_work() {
-        let srpt = Srpt::default(); // exact estimates
-                                    // 10µs request that has already attained 12µs (estimate
-                                    // exhausted, still not done).
-        let overrun = task(1, 10_000, 12_000, 0);
-        // Fresh 5µs request.
-        let fresh = task(2, 5_000, 0, 50_000);
+        // 10µs request that has already attained 12µs (estimate
+        // exhausted, still not done), and a fresh 5µs request.
+        let overrun = rank(EXACT_SRPT, 1, 10_000, 12_000, 0);
+        let fresh = rank(EXACT_SRPT, 2, 5_000, 0, 50_000);
         assert!(
-            srpt.key(&overrun) > srpt.key(&fresh),
-            "overrunner (key {}) must not outrank fresh short work (key {})",
-            srpt.key(&overrun),
-            srpt.key(&fresh)
+            overrun > fresh,
+            "overrunner (key {overrun}) must not outrank fresh short work (key {fresh})"
         );
         // And the longer it overruns, the further back it goes.
-        let worse = task(1, 10_000, 30_000, 0);
-        assert!(srpt.key(&worse) > srpt.key(&overrun));
+        assert!(rank(EXACT_SRPT, 1, 10_000, 30_000, 0) > overrun);
         // Keys are never 0 (0 would pin the front of the queue).
-        assert!(srpt.key(&task(3, 10_000, 10_000, 0)) > 0);
+        assert!(rank(EXACT_SRPT, 3, 10_000, 10_000, 0) > 0);
         // Normal SRPT ordering is untouched while the estimate holds.
-        let half_done = task(4, 10_000, 6_000, 0);
-        assert_eq!(srpt.key(&half_done), 4_000);
-        assert!(srpt.key(&half_done) < srpt.key(&fresh));
+        let half_done = rank(EXACT_SRPT, 4, 10_000, 6_000, 0);
+        assert_eq!(half_done, 4_000);
+        assert!(half_done < fresh);
     }
 
     /// Regression (pre-fix failure): clamping `remaining` to 1 handed an
@@ -331,27 +236,25 @@ mod tests {
     /// policy can express — so it preempted ahead of short fresh work.
     #[test]
     fn boost_overrun_loses_its_headstart() {
-        let boost = Boost { boost_us: 10 };
         // Arrived at t=1ms, nominal 10µs, attained 10µs: exhausted.
-        let overrun = task(1, 10_000, 10_000, 1_000_000);
+        let overrun = rank(BOOST_10, 1, 10_000, 10_000, 1_000_000);
         // Fresh 1µs request arriving 100µs later.
-        let fresh = task(2, 1_000, 0, 1_100_000);
+        let fresh = rank(BOOST_10, 2, 1_000, 0, 1_100_000);
         assert!(
-            boost.key(&overrun) > boost.key(&fresh),
-            "exhausted request (key {}) must not outrank a later short \
-             arrival (key {})",
-            boost.key(&overrun),
-            boost.key(&fresh)
+            overrun > fresh,
+            "exhausted request (key {overrun}) must not outrank a later short \
+             arrival (key {fresh})"
         );
-        // Pre-fix the exhausted key was ingested − B²/1 = 0 (saturated).
-        assert!(boost.key(&overrun) >= overrun.ingested_at_ns);
+        // Pre-fix the exhausted key was arrival − B²/1 = 0 (saturated).
+        assert!(overrun >= 1_000_000);
         // Attained service keeps pushing an overrunner later.
-        let worse = task(1, 10_000, 40_000, 1_000_000);
-        assert!(boost.key(&worse) > boost.key(&overrun));
+        assert!(rank(BOOST_10, 1, 10_000, 40_000, 1_000_000) > overrun);
         // In-estimate behavior unchanged: remaining size sets the boost.
         let b = 10_000u64 * 10_000;
-        let in_flight = task(3, 10_000, 4_000, 1_000_000);
-        assert_eq!(boost.key(&in_flight), 1_000_000 - b / 6_000);
+        assert_eq!(
+            rank(BOOST_10, 3, 10_000, 4_000, 1_000_000),
+            1_000_000 - b / 6_000
+        );
     }
 
     #[test]
@@ -361,60 +264,81 @@ mod tests {
             PolicyKind::Fcfs,
             PolicyKind::Srpt { noise_pct: 0 },
             PolicyKind::Srpt { noise_pct: 25 },
+            PolicyKind::Srpt { noise_pct: 100 },
             PolicyKind::Boost { boost_us: 10 },
             PolicyKind::Boost { boost_us: 500 },
         ] {
             assert_eq!(PolicyKind::parse(&kind.to_string()), Some(kind));
         }
         assert_eq!(PolicyKind::parse("ps"), Some(PolicyKind::PsQuantum));
-        assert_eq!(
-            PolicyKind::parse("srpt"),
-            Some(PolicyKind::Srpt { noise_pct: 0 })
-        );
-        assert_eq!(
-            PolicyKind::parse("boost"),
-            Some(PolicyKind::Boost { boost_us: 10 })
-        );
+        assert_eq!(PolicyKind::parse("srpt"), Some(EXACT_SRPT));
+        assert_eq!(PolicyKind::parse("boost"), Some(BOOST_10));
         assert_eq!(PolicyKind::parse("lifo"), None);
         assert_eq!(PolicyKind::parse("srpt:x"), None);
+    }
+
+    /// Regression (pre-fix failure): `srpt:4294967295` parsed, turned
+    /// into a `-1` half-width and panicked the dispatcher's first
+    /// estimate with an empty `gen_range`.
+    #[test]
+    fn parse_rejects_out_of_range_srpt_noise() {
+        assert_eq!(PolicyKind::parse("srpt:101"), None);
+        assert_eq!(PolicyKind::parse("srpt:4294967295"), None);
+        // Even a struct-literal out-of-range value ranks without panicking.
+        let wild = PolicyKind::Srpt {
+            noise_pct: u32::MAX,
+        };
+        assert!(rank(wild, 7, 50_000, 0, 0) <= 100_000);
+    }
+
+    /// Regression (pre-fix failure): a Boost `B` whose nanosecond value
+    /// overflows `u64` parsed and overflowed on conversion.
+    #[test]
+    fn parse_rejects_overflowing_boost() {
+        let max_us = u64::MAX / 1_000;
+        assert_eq!(
+            PolicyKind::parse(&format!("boost:{max_us}")),
+            Some(PolicyKind::Boost { boost_us: max_us })
+        );
+        assert_eq!(PolicyKind::parse(&format!("boost:{}", max_us + 1)), None);
+        assert_eq!(PolicyKind::parse(&format!("boost:{}", u64::MAX)), None);
     }
 
     #[test]
     fn only_fcfs_disables_preemption() {
         for kind in PolicyKind::ALL {
-            let policy = kind.instantiate();
-            assert_eq!(policy.preempts(), kind != PolicyKind::Fcfs, "policy {kind}");
+            assert_eq!(kind.preempts(), kind != PolicyKind::Fcfs, "policy {kind}");
+            assert_eq!(PolicyKind::parse(kind.name()), Some(kind), "policy {kind}");
         }
     }
 
     #[test]
     fn srpt_estimate_is_deterministic_and_bounded() {
-        let srpt = Srpt {
-            noise_pct: 20,
-            ..Srpt::default()
-        };
+        let noisy = PolicyKind::Srpt { noise_pct: 20 };
+        let s = 50_000;
         for id in 0..200u64 {
-            let s = 50_000;
-            let e1 = srpt.estimate(id, s);
-            let e2 = srpt.estimate(id, s);
-            assert_eq!(e1, e2, "estimate must be deterministic per id");
-            assert!(e1 >= s - s / 5 && e1 <= s + s / 5, "id {id}: {e1}");
+            let e = rank(noisy, id, s, 0, 0);
+            assert_eq!(
+                e,
+                rank(noisy, id, s, 0, 0),
+                "estimate must be deterministic per id"
+            );
+            assert!(e >= s - s / 5 && e <= s + s / 5, "id {id}: {e}");
         }
         // Exact mode passes sizes through untouched.
-        let exact = Srpt::default();
-        assert_eq!(exact.estimate(7, 12_345), 12_345);
+        assert_eq!(rank(EXACT_SRPT, 7, 12_345, 0, 0), 12_345);
     }
 
     #[test]
     fn boost_headstart_shrinks_with_size() {
-        let boost = Boost { boost_us: 10 };
-        let b = 10_000u64 * 10_000;
-        // b(s) = B²/s: a 1us request gets a 100ms head start, a 100us
-        // request only 1ms.
-        assert_eq!(b / 1_000, 100_000_000 / 1_000);
-        let short_shift = b / 1_000;
-        let long_shift = b / 100_000;
-        assert!(short_shift > long_shift * 50);
-        let _ = boost;
+        // b(s) = B²/s with B = 10µs: a 1µs request gets a 100µs head
+        // start, a 100µs request only 1µs — so a short request arriving
+        // 50µs late still ranks ahead of the long one.
+        assert_eq!(rank(BOOST_10, 1, 1_000, 0, 200_000), 100_000);
+        assert_eq!(rank(BOOST_10, 2, 100_000, 0, 200_000), 199_000);
+        assert!(rank(BOOST_10, 1, 1_000, 0, 250_000) < rank(BOOST_10, 2, 100_000, 0, 200_000));
+        // Non-Boost policies carry no B.
+        assert_eq!(EXACT_SRPT.boost_ns(), 0);
+        assert_eq!(BOOST_10.boost_ns(), 10_000);
     }
 }

@@ -25,8 +25,7 @@
 //!
 //! The route-id bit layout itself (`16-bit slot | 8-bit generation |
 //! 40-bit client id`) lives in [`concord_wire::route`], shared with the
-//! rack front end; deprecated re-exports below keep old import paths
-//! compiling for one release.
+//! rack front end.
 
 use std::collections::VecDeque;
 use std::io::Write;
@@ -34,11 +33,6 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
-
-#[deprecated(since = "0.1.0", note = "moved to concord_wire::route")]
-pub use concord_wire::route::{
-    route_id, split_route_id, CLIENT_ID_BITS, CLIENT_ID_MASK, GEN_BITS, MAX_CONNS,
-};
 
 /// Default bound on encoded frames a connection's outbox may hold
 /// before the egress reports backpressure to the dispatcher (which then

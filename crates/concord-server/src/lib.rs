@@ -4,8 +4,7 @@
 //!
 //! - the wire protocol: the length-prefixed binary frames (version 1)
 //!   carrying requests and responses live in the [`concord_wire`] crate,
-//!   shared with the `concord-rack` front-end balancer; the [`wire`] and
-//!   [`buf`] modules here are deprecated re-export shims.
+//!   shared with the `concord-rack` front-end balancer.
 //! - [`server`]: a [`Server`] that binds a listener, routes each
 //!   connection to one of N scheduler shards (hash with a
 //!   power-of-two-choices fallback on admission-queue depth), feeds
@@ -46,13 +45,11 @@
 #![warn(missing_docs)]
 
 pub mod admin;
-pub mod buf;
 pub mod client;
 pub mod conn;
 mod eventloop;
 pub mod server;
 mod threads;
-pub mod wire;
 
 pub use client::{ClientConfig, ClientReport};
 pub use concord_wire::{Frame, RequestFrame, ResponseFrame, Status, WireError};

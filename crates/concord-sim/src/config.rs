@@ -89,24 +89,10 @@ impl QueueDiscipline {
     }
 }
 
-/// Ordering of the central queue.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Policy {
-    /// First come, first served; preempted requests re-join at the tail,
-    /// which approximates processor sharing when combined with preemption.
-    Fcfs,
-    /// Shortest remaining processing time first (§3.1 notes Concord's
-    /// dispatcher-centric design makes such policies easy to add).
-    Srpt,
-    /// Boost scheduling (Yu & Scully, "Strongly Tail-Optimal Scheduling
-    /// in the Light-Tailed M/G/1"): ordered by arrival time shifted
-    /// earlier by `boost² / remaining` cycles — FCFS as `boost → 0`,
-    /// size-based as `boost → ∞`.
-    Boost {
-        /// Boost parameter `B`, in cycles.
-        boost: u64,
-    },
-}
+/// The central queue's scheduling policy: the runtime's own
+/// [`PolicyKind`](concord_core::PolicyKind), so the simulator and the
+/// runtime rank work with one definition.
+pub use concord_core::PolicyKind as Policy;
 
 /// Mirror of the runtime's adaptive per-class quantum controller
 /// (`concord-core`'s `quantum` module), in nanoseconds of simulated
@@ -148,7 +134,8 @@ pub struct SystemConfig {
     pub preemption: PreemptMechanism,
     /// Queue discipline between dispatcher and workers.
     pub queue: QueueDiscipline,
-    /// Central queue policy.
+    /// Central queue policy. A policy that does not preempt runs every
+    /// request to completion whatever `preemption` says.
     pub policy: Policy,
     /// Whether the dispatcher steals application work when all worker
     /// queues are full (§3.3). Stolen requests run with rdtsc
@@ -181,7 +168,7 @@ impl SystemConfig {
             quantum_ns,
             preemption: PreemptMechanism::Ipi,
             queue: QueueDiscipline::SingleQueue,
-            policy: Policy::Fcfs,
+            policy: Policy::PsQuantum,
             work_conserving: false,
             dispatcher_check_ns: 1_000,
             dispatcher_batch: 1,
@@ -217,7 +204,7 @@ impl SystemConfig {
             quantum_ns,
             preemption: PreemptMechanism::Coop,
             queue: QueueDiscipline::Jbsq(2),
-            policy: Policy::Fcfs,
+            policy: Policy::PsQuantum,
             work_conserving: true,
             dispatcher_check_ns: 1_000,
             dispatcher_batch: 1,
@@ -290,9 +277,19 @@ impl SystemConfig {
         self
     }
 
+    /// The preemption mechanism in effect: [`PreemptMechanism::None`]
+    /// under a run-to-completion policy.
+    pub fn mechanism(&self) -> PreemptMechanism {
+        if self.policy.preempts() {
+            self.preemption
+        } else {
+            PreemptMechanism::None
+        }
+    }
+
     /// The quantum in cycles (`u64::MAX` when preemption is disabled).
     pub fn quantum_cycles(&self) -> u64 {
-        if self.preemption == PreemptMechanism::None || self.quantum_ns == 0 {
+        if self.mechanism() == PreemptMechanism::None || self.quantum_ns == 0 {
             u64::MAX
         } else {
             self.cost.ns_to_cycles(self.quantum_ns)
@@ -314,6 +311,11 @@ mod tests {
         let p = SystemConfig::persephone_fcfs(14);
         assert_eq!(p.preemption, PreemptMechanism::None);
         assert_eq!(p.quantum_cycles(), u64::MAX);
+
+        // A run-to-completion policy disables preemption on any preset.
+        let f = SystemConfig::concord(14, 5_000).with_policy(Policy::Fcfs);
+        assert_eq!(f.mechanism(), PreemptMechanism::None);
+        assert_eq!(f.quantum_cycles(), u64::MAX);
 
         let c = SystemConfig::concord(14, 5_000);
         assert_eq!(c.preemption, PreemptMechanism::Coop);

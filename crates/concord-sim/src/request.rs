@@ -1,7 +1,7 @@
 //! Request state and the central queue.
 
 use crate::config::Policy;
-use std::collections::VecDeque;
+use crate::cost::CostModel;
 
 /// Index of a request in the simulation's arena.
 pub type ReqId = usize;
@@ -56,24 +56,29 @@ impl Request {
     }
 }
 
-/// The central queue maintained by the dispatcher, ordered per [`Policy`].
-///
-/// FCFS is a plain FIFO; preempted requests re-join at the tail, which is
-/// what approximates processor sharing (§3.1). SRPT keeps the queue sorted
-/// by remaining work (insertion position found by linear scan from the
-/// tail — queues are short in regimes where SRPT matters).
-#[derive(Debug)]
+/// The dispatcher's central queue: the runtime's
+/// [`concord_core::central::CentralQueue`] over arena ids, ranked by
+/// the runtime's [`Policy::rank`] in cycles. Sharing both makes the
+/// simulator dispatch in exactly the runtime's order.
 pub struct CentralQueue {
     policy: Policy,
-    queue: VecDeque<ReqId>,
+    /// Boost's `B`, in cycles.
+    boost: u64,
+    queue: concord_core::central::CentralQueue<ReqId>,
 }
 
 impl CentralQueue {
-    /// Creates an empty queue with the given policy.
+    /// An empty queue ranking by `policy` at the paper's default clock.
     pub fn new(policy: Policy) -> Self {
+        Self::with_cost(policy, &CostModel::paper_default())
+    }
+
+    /// An empty queue ranking by `policy` in `cost`'s cycles.
+    pub fn with_cost(policy: Policy, cost: &CostModel) -> Self {
         Self {
             policy,
-            queue: VecDeque::new(),
+            boost: cost.ns_to_cycles(policy.boost_ns()),
+            queue: concord_core::central::CentralQueue::new(),
         }
     }
 
@@ -87,55 +92,34 @@ impl CentralQueue {
         self.queue.is_empty()
     }
 
-    /// Enqueues a new or preempted request. `requests` is the arena (needed
-    /// for SRPT ordering).
+    /// Enqueues a new or preempted request, ranked from its state in
+    /// the `requests` arena.
     pub fn push(&mut self, id: ReqId, requests: &[Request]) {
-        match self.policy {
-            Policy::Fcfs => self.queue.push_back(id),
-            Policy::Srpt => {
-                let key = requests[id].remaining;
-                // Insert before the first entry with strictly greater
-                // remaining work, scanning from the back (new arrivals are
-                // usually near the tail).
-                let mut pos = self.queue.len();
-                while pos > 0 && requests[self.queue[pos - 1]].remaining > key {
-                    pos -= 1;
-                }
-                self.queue.insert(pos, id);
-            }
-            Policy::Boost { boost } => {
-                // Arrival time boosted (shifted earlier) by b(s) = B²/s
-                // on the remaining size: short work jumps the queue by a
-                // bounded head start, long work barely moves.
-                let key = |r: &Request| {
-                    r.arrival
-                        .saturating_sub(boost.saturating_mul(boost) / r.remaining.max(1))
-                };
-                let k = key(&requests[id]);
-                let mut pos = self.queue.len();
-                while pos > 0 && key(&requests[self.queue[pos - 1]]) > k {
-                    pos -= 1;
-                }
-                self.queue.insert(pos, id);
-            }
+        let r = &requests[id];
+        let key = self.policy.rank(
+            self.boost,
+            r.id,
+            r.service,
+            r.service - r.remaining,
+            r.arrival,
+        );
+        if r.started {
+            self.queue.push_requeued_prio(key, id);
+        } else {
+            self.queue.push_fresh_prio(key, id);
         }
     }
 
-    /// Pops the head request.
+    /// Pops the best-ranked request.
     pub fn pop(&mut self) -> Option<ReqId> {
-        self.queue.pop_front()
+        self.queue.pop_next()
     }
 
-    /// Removes and returns the first *non-started* request, if any — the
-    /// only kind the work-conserving dispatcher may take (§3.3).
-    pub fn pop_first_non_started(&mut self, requests: &[Request]) -> Option<ReqId> {
-        let pos = self.queue.iter().position(|&id| !requests[id].started)?;
-        self.queue.remove(pos)
-    }
-
-    /// Immutable view of the queued ids (head first), for tests.
-    pub fn iter(&self) -> impl Iterator<Item = ReqId> + '_ {
-        self.queue.iter().copied()
+    /// Removes and returns the best-ranked *non-started* request, if
+    /// any — the only kind the work-conserving dispatcher may take
+    /// (§3.3). O(1).
+    pub fn steal_not_started(&mut self) -> Option<ReqId> {
+        self.queue.steal_not_started()
     }
 }
 
@@ -150,6 +134,8 @@ mod tests {
             .map(|(i, &r)| Request::new(i as u64, 0, r, 0))
             .collect()
     }
+
+    const SRPT: Policy = Policy::Srpt { noise_pct: 0 };
 
     #[test]
     fn fcfs_is_fifo() {
@@ -166,7 +152,7 @@ mod tests {
     #[test]
     fn srpt_orders_by_remaining() {
         let reqs = arena(&[30, 10, 20]);
-        let mut q = CentralQueue::new(Policy::Srpt);
+        let mut q = CentralQueue::new(SRPT);
         for i in 0..3 {
             q.push(i, &reqs);
         }
@@ -178,7 +164,7 @@ mod tests {
     #[test]
     fn srpt_ties_keep_arrival_order() {
         let reqs = arena(&[10, 10, 10]);
-        let mut q = CentralQueue::new(Policy::Srpt);
+        let mut q = CentralQueue::new(SRPT);
         for i in 0..3 {
             q.push(i, &reqs);
         }
@@ -203,17 +189,17 @@ mod tests {
             (100_000, 2_000_000),
             (1_000, 3_000_000),
         ]);
-        // Tiny boost: arrival order, like FCFS.
-        let mut q = CentralQueue::new(Policy::Boost { boost: 10 });
+        // No boost: arrival order, like FCFS.
+        let mut q = CentralQueue::new(Policy::Boost { boost_us: 0 });
         for i in 0..3 {
             q.push(i, &reqs);
         }
         assert_eq!(q.pop(), Some(0));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
-        // Large boost: the short request's b(s) = B²/s head start
-        // dominates its later arrival, like SRPT.
-        let mut q = CentralQueue::new(Policy::Boost { boost: 100_000 });
+        // Large boost (50µs = 100k cycles): the short request's
+        // b(s) = B²/s head start dominates its later arrival, like SRPT.
+        let mut q = CentralQueue::new(Policy::Boost { boost_us: 50 });
         for i in 0..3 {
             q.push(i, &reqs);
         }
@@ -227,15 +213,30 @@ mod tests {
         let mut reqs = arena(&[10, 20, 30]);
         reqs[0].started = true;
         reqs[1].started = true;
-        let mut q = CentralQueue::new(Policy::Fcfs);
+        let mut q = CentralQueue::new(Policy::PsQuantum);
         for i in 0..3 {
             q.push(i, &reqs);
         }
-        assert_eq!(q.pop_first_non_started(&reqs), Some(2));
+        assert_eq!(q.steal_not_started(), Some(2));
         // The started ones remain, in order.
         assert_eq!(q.pop(), Some(0));
         assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop_first_non_started(&reqs), None);
+        assert_eq!(q.steal_not_started(), None);
+    }
+
+    #[test]
+    fn srpt_ranks_requeued_work_by_remaining() {
+        // A started request with 5 cycles left outranks a fresh 10.
+        let mut reqs = arena(&[30, 10]);
+        reqs[0].started = true;
+        reqs[0].remaining = 5;
+        let mut q = CentralQueue::new(SRPT);
+        q.push(1, &reqs);
+        q.push(0, &reqs);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some(0));
+        assert_eq!(q.pop(), Some(1));
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -371,7 +371,7 @@ fn run_simulation<'a>(
         clock: 0,
         events: EventQueue::new(),
         requests: Vec::with_capacity(requests as usize),
-        central: CentralQueue::new(cfg.policy),
+        central: CentralQueue::with_cost(cfg.policy, &cfg.cost),
         workers: (0..cfg.n_workers).map(|_| WorkerSim::new()).collect(),
         disp: DispatcherSim::new(),
         warmup_cutoff: (requests as f64 * warmup_frac) as u64,
@@ -440,7 +440,7 @@ impl<'a> Sim<'a> {
     }
 
     fn worker_inflation(&self) -> f64 {
-        self.cfg.preemption.proc_overhead(self.cost())
+        self.cfg.mechanism().proc_overhead(self.cost())
     }
 
     /// Wall cycles needed to execute `work` cycles of application logic on
@@ -869,7 +869,7 @@ impl<'a> Sim<'a> {
         // 4. Work conservation: resume the stolen request, or steal one.
         if self.cfg.work_conserving {
             if self.disp.stolen.is_none() && self.all_worker_queues_full() {
-                if let Some(req) = self.central.pop_first_non_started(&self.requests) {
+                if let Some(req) = self.central.steal_not_started() {
                     self.requests[req].started = true;
                     self.requests[req].dispatcher_owned = true;
                     self.disp.stolen = Some(req);
@@ -1298,14 +1298,14 @@ mod tests {
 
     #[test]
     fn srpt_policy_favors_short_requests() {
-        let fcfs = SystemConfig::concord(4, 5_000).with_policy(Policy::Fcfs);
-        let srpt = SystemConfig::concord(4, 5_000).with_policy(Policy::Srpt);
+        let ps = SystemConfig::concord(4, 5_000).with_policy(Policy::PsQuantum);
+        let srpt = SystemConfig::concord(4, 5_000).with_policy(Policy::Srpt { noise_pct: 0 });
         // Near saturation so queueing matters: mean 50.5µs on 4 workers.
         let rate = 0.85 * 4.0 / 50.5e-6;
-        let rf = simulate(&fcfs, mix::bimodal_50_1_50_100(), &params(rate, 30_000));
+        let rp = simulate(&ps, mix::bimodal_50_1_50_100(), &params(rate, 30_000));
         let rs = simulate(&srpt, mix::bimodal_50_1_50_100(), &params(rate, 30_000));
         // SRPT should not raise the median (short requests dominate counts).
-        assert!(rs.median_slowdown() <= rf.median_slowdown() + 0.5);
+        assert!(rs.median_slowdown() <= rp.median_slowdown() + 0.5);
     }
 
     #[test]

@@ -41,7 +41,7 @@ fn arb_config(g: &mut Gen) -> SystemConfig {
         QueueDiscipline::Jbsq(4),
     ]);
     cfg.work_conserving = g.bool();
-    cfg.policy = if g.bool() { Policy::Srpt } else { Policy::Fcfs };
+    cfg.policy = *g.pick(&Policy::ALL);
     cfg.name = "prop".into();
     cfg
 }

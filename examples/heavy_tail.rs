@@ -60,7 +60,7 @@ fn main() {
             SystemConfig::shinjuku(PAPER_WORKERS, 5_000),
             SystemConfig::concord(PAPER_WORKERS, 5_000),
             SystemConfig::concord(PAPER_WORKERS, 5_000)
-                .with_policy(Policy::Srpt)
+                .with_policy(Policy::Srpt { noise_pct: 0 })
                 .named("Concord (SRPT)"),
         ] {
             let r = simulate(&cfg, pareto_mix(), &SimParams::new(rate, requests, 42));
